@@ -4,9 +4,9 @@ The strong-scaling workflow needs MPKI as a function of LLC capacity.
 Collecting it through detailed timing simulation would defeat the purpose,
 so — following the literature the paper builds on — this package provides
 
-* :mod:`repro.mrc.stack_distance` — an exact single-pass reuse/stack
-  distance histogram (Conte et al. [20]) using a Fenwick tree, evaluated
-  at every capacity of interest in one pass;
+* :mod:`repro.mrc.stack_distance` — an exact reuse/stack distance
+  histogram (Conte et al. [20]) from one offline pass over the buffered
+  stream, evaluated at every capacity of interest;
 * :mod:`repro.mrc.statstack` — a StatStack-flavoured statistical
   approximation (Eklov and Hagersten [23]) built from forward reuse
   distances, much cheaper than exact stack distances;

@@ -3,7 +3,8 @@
 Pipeline (Section V-A of the paper): functional trace → GPU-aware
 interleaving (:mod:`repro.mrc.interleave`) → per-virtual-SM functional L1
 filtering → LLC reference stream → stack-distance profiling → MPKI at
-every LLC capacity of interest, all in a single pass over the trace.
+every LLC capacity of interest.  One pass over the trace buffers the
+LLC stream; the profiler then resolves it in one piece.
 
 This path involves no timing simulation, which is what makes miss-rate
 curves orders of magnitude cheaper to collect than scale-model
@@ -13,6 +14,7 @@ performance profiles.
 from __future__ import annotations
 
 import time as _time
+from array import array
 from typing import List, Optional, Sequence
 
 from repro.exceptions import PredictionError
@@ -77,6 +79,8 @@ def collect_miss_rate_curve(
         )
 
     ctas_per_sm = 6
+    stream = array("q")
+    keep = stream.append
     llc_accesses = 0
     l1_accesses = 0
     bypass_misses = 0
@@ -84,9 +88,7 @@ def collect_miss_rate_curve(
     for vsm, chunk in iter_interleaved(
         workload, num_virtual_sms, ctas_per_sm, stats=stream_stats
     ):
-        l1 = l1s[vsm]
-        l1_access = l1.access
-        profile = profiler.access
+        l1_access = l1s[vsm].access
         for line in chunk.tolist():
             l1_accesses += 1
             if not l1_access(line):
@@ -95,7 +97,9 @@ def collect_miss_rate_curve(
                     # No-allocate streaming hint: misses at every capacity.
                     bypass_misses += 1
                 else:
-                    profile(line)
+                    keep(line)
+    profiler.consume(stream)
+    del stream  # the profiler holds its own copy; free this one first
 
     if llc_accesses == 0:
         raise PredictionError(

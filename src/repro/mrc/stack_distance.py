@@ -1,150 +1,176 @@
-"""Exact single-pass stack-distance (reuse-distance) profiling.
+"""Exact stack-distance profiling (Mattson's LRU stack; Conte et al. [20]).
 
-Implements the classic single-pass algorithm (Conte et al. [20], Mattson's
-stack algorithm): one traversal of the reference stream yields a stack
-distance histogram from which the miss count of *every* fully-associative
-LRU capacity can be read — the property that makes miss-rate-curve
-collection two orders of magnitude cheaper than timing simulation.
+An access's stack distance is the number of distinct lines touched since
+the previous access to its line.  A fully-associative LRU cache of C
+lines hits the access iff the distance is below C, so one histogram gives
+the misses of *every* capacity, far cheaper than timing simulation.
 
-The distinct-lines-since-last-access count is maintained with a Fenwick
-(binary indexed) tree over stream positions holding a 1 at the last
-occurrence of each line.
+Distances come from one offline pass over the buffered stream.  For a
+reuse pair (p, i), a line touched at p and next at i, each access in
+between is either the last touch of its line before i or the start of a
+reuse pair nested strictly inside (p, i), so
+
+    distance(i) = (i - p - 1) - #{pairs (p', i') : p < p' and i' < i}.
+
+Listed in end order, a pair's nesting count is the number of earlier
+pairs with a larger start: an inversion count, which a bottom-up merge
+sort of the starts gathers with two ``np.searchsorted`` calls per level.
+That takes O(n log^2 n) time for n accesses, and transient memory of up
+to about four times the stream's bytes.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
 from repro.exceptions import PredictionError
 
-#: Histogram bucket index used for cold (first-reference) accesses.
+#: Stack distance reported for cold (first-reference) accesses.
 COLD = -1
 
 
-class FenwickTree:
-    """A Fenwick tree over positions 1..n supporting point add and prefix
-    sum, growing geometrically as positions beyond ``n`` are touched."""
-
-    def __init__(self, capacity: int = 1024) -> None:
-        self._size = max(2, capacity)
-        self._tree = np.zeros(self._size + 1, dtype=np.int64)
-        self._points = np.zeros(self._size + 1, dtype=np.int64)
-
-    def _grow(self, needed: int) -> None:
-        new_size = self._size
-        while new_size < needed:
-            new_size *= 2
-        points = np.zeros(new_size + 1, dtype=np.int64)
-        points[: self._size + 1] = self._points
-        self._points = points
-        self._size = new_size
-        # O(n) Fenwick construction from point values.
-        tree = points.copy()
-        for i in range(1, new_size + 1):
-            parent = i + (i & -i)
-            if parent <= new_size:
-                tree[parent] += tree[i]
-        self._tree = tree
-
-    def add(self, index: int, delta: int) -> None:
-        if index < 1:
-            raise PredictionError(f"Fenwick index must be >= 1, got {index}")
-        if index > self._size:
-            self._grow(index)
-        self._points[index] += delta
-        tree = self._tree
-        size = self._size
-        while index <= size:
-            tree[index] += delta
-            index += index & -index
-
-    def prefix_sum(self, index: int) -> int:
-        """Sum of values at positions 1..index."""
-        if index < 0:
-            raise PredictionError(f"Fenwick index must be >= 0, got {index}")
-        index = min(index, self._size)
-        total = 0
-        tree = self._tree
-        while index > 0:
-            total += tree[index]
-            index -= index & -index
-        return int(total)
-
-    def range_sum(self, lo: int, hi: int) -> int:
-        """Sum of values at positions lo..hi inclusive."""
-        if lo > hi:
-            return 0
-        return self.prefix_sum(hi) - self.prefix_sum(lo - 1)
+def previous_occurrences(lines: np.ndarray) -> np.ndarray:
+    """Position of the previous access to each access's line, or -1."""
+    n = len(lines)
+    # Merge spans reach 2n, so int32 holds positions below 2**30.
+    dtype = np.int32 if n < 2**30 else np.int64
+    order = np.argsort(lines, kind="stable").astype(dtype)
+    sorted_lines = lines[order]
+    repeat = sorted_lines[1:] == sorted_lines[:-1]
+    del sorted_lines
+    prev = np.full(n, -1, dtype=dtype)
+    prev[order[1:][repeat]] = order[:-1][repeat]
+    return prev
 
 
-class StackDistanceProfiler:
-    """Single-pass exact stack-distance histogram.
+def _merge(values, left, left_to, right, right_to) -> np.ndarray:
+    merged = np.empty_like(values)
+    merged[left_to] = values[left]
+    merged[right_to] = values[right]
+    return merged
 
-    Feed line addresses with :meth:`access` (or :meth:`consume`); read
-    misses for any capacity with :meth:`misses_at` once done.
+
+def _pair_distances(prev: np.ndarray) -> np.ndarray:
+    """Stack distances of the non-cold accesses, ordered by the position
+    of their previous access (``prev`` from :func:`previous_occurrences`).
+    """
+    ends = np.flatnonzero(prev >= 0).astype(prev.dtype)
+    starts = prev[ends]
+    bound = len(prev)  # exceeds every start: keys stay block-ordered
+    del prev
+    distances = ends - starts - 1
+    del ends
+    m = len(starts)
+    positions = np.arange(m, dtype=starts.dtype)
+    width = 1
+    while width < m:
+        span = 2 * width
+        right = positions % span >= width
+        left = ~right
+        keys = np.multiply(positions // span, bound, dtype=np.int64)
+        keys += starts
+        left_keys, right_keys = keys[left], keys[right]
+        del keys
+        into_right = np.searchsorted(right_keys, left_keys).astype(starts.dtype)
+        into_left = np.searchsorted(left_keys, right_keys).astype(starts.dtype)
+        del left_keys, right_keys
+        into_right += np.arange(len(into_right), dtype=starts.dtype)
+        into_left += np.arange(len(into_left), dtype=starts.dtype)
+        # A right entry moves left past the left entries nested inside it.
+        distances[right] -= positions[right] - into_left
+        starts = _merge(starts, left, into_right, right, into_left)
+        distances = _merge(distances, left, into_right, right, into_left)
+        del left, right, into_left, into_right
+        width = span
+    return distances
+
+
+def stack_distances(lines: Iterable[int]) -> np.ndarray:
+    """LRU stack distance of every access in ``lines`` (``COLD`` if first)."""
+    lines = np.asarray(lines, dtype=np.int64)
+    prev = previous_occurrences(lines)
+    reused = np.flatnonzero(prev >= 0)
+    by_start = reused[np.argsort(prev[reused])]
+    del reused
+    distances = _pair_distances(prev)
+    out = np.full(len(lines), COLD, dtype=np.int64)
+    out[by_start] = distances
+    return out
+
+
+class BufferedStream:
+    """Line addresses fed by :meth:`access` or :meth:`consume`, buffered
+    for one offline :meth:`_pass` that yields a value per non-cold access.
+
+    The first read of a result runs the pass; a read after further
+    accesses runs it again.
     """
 
-    def __init__(self, expected_length: int = 1 << 16) -> None:
-        self._fenwick = FenwickTree(expected_length)
-        self._last_pos: Dict[int, int] = {}
-        self._pos = 0
-        self._histogram: Dict[int, int] = {}
-        self.cold_misses = 0
-        self.accesses = 0
+    def __init__(self) -> None:
+        self._lines = array("q")
+        self._resolved_length = -1
+        self._result: np.ndarray = np.empty(0, dtype=np.int64)
 
-    def access(self, line: int) -> int:
-        """Record one access; returns its stack distance (or ``COLD``)."""
-        self._pos += 1
-        pos = self._pos
-        self.accesses += 1
-        last = self._last_pos.get(line)
-        if last is None:
-            distance = COLD
-            self.cold_misses += 1
-        else:
-            # Distinct lines touched strictly between the two accesses:
-            # count of "last occurrence" markers in (last, pos).
-            distance = self._fenwick.range_sum(last + 1, pos - 1)
-            self._histogram[distance] = self._histogram.get(distance, 0) + 1
-            self._fenwick.add(last, -1)
-        self._fenwick.add(pos, 1)
-        self._last_pos[line] = pos
-        return distance
+    def access(self, line: int) -> None:
+        self._lines.append(line)
 
     def consume(self, lines: Iterable[int]) -> None:
-        for line in lines:
-            self.access(line)
+        self._lines.extend(lines)
+
+    @property
+    def accesses(self) -> int:
+        return len(self._lines)
+
+    @property
+    def cold_misses(self) -> int:
+        return self.accesses - len(self._resolve())
+
+    def _pass(self, lines: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _resolve(self) -> np.ndarray:
+        if self._resolved_length != len(self._lines):
+            self._result = self._pass(np.frombuffer(self._lines, dtype=np.int64))
+            self._resolved_length = len(self._lines)
+        return self._result
+
+
+class StackDistanceProfiler(BufferedStream):
+    """Exact stack-distance histogram of a buffered reference stream."""
+
+    def _pass(self, lines: np.ndarray) -> np.ndarray:
+        """Stack distances of the non-cold accesses, ascending."""
+        distances = _pair_distances(previous_occurrences(lines))
+        distances.sort()
+        return distances
 
     @property
     def distinct_lines(self) -> int:
-        return len(self._last_pos)
+        # Every distinct line has exactly one cold (first) access.
+        return self.cold_misses
 
     def histogram(self) -> Dict[int, int]:
-        """Stack-distance histogram (cold misses excluded)."""
-        return dict(self._histogram)
+        """Stack-distance histogram (cold misses excluded), by distance."""
+        distances, counts = np.unique(self._resolve(), return_counts=True)
+        return dict(zip(distances.tolist(), counts.tolist()))
 
     def misses_at(self, capacity_lines: int) -> int:
-        """Misses of a fully-associative LRU cache of ``capacity_lines``.
-
-        An access with stack distance d hits iff d < capacity; cold
-        accesses always miss.
-        """
-        if capacity_lines < 0:
-            raise PredictionError(
-                f"capacity must be non-negative, got {capacity_lines}"
-            )
-        conflict = sum(
-            count
-            for distance, count in self._histogram.items()
-            if distance >= capacity_lines
-        )
-        return conflict + self.cold_misses
+        """Misses of a fully-associative LRU cache of ``capacity_lines``."""
+        return self.miss_curve([capacity_lines])[0]
 
     def miss_curve(self, capacities_lines: Sequence[int]) -> List[int]:
-        """Miss counts at several capacities — still from the single pass."""
-        return [self.misses_at(c) for c in capacities_lines]
+        """Miss counts at several capacities: the cold accesses plus those
+        at a stack distance of at least the capacity."""
+        if any(c < 0 for c in capacities_lines):
+            raise PredictionError(
+                f"capacity must be non-negative, got {list(capacities_lines)}"
+            )
+        distances = self._resolve()
+        hits = np.searchsorted(distances, capacities_lines)
+        return [self.accesses - int(h) for h in hits]
 
     def miss_ratio_at(self, capacity_lines: int) -> float:
         if self.accesses == 0:
@@ -157,8 +183,8 @@ class MultiCapacityLRU:
     capacities, in one pass.
 
     Functionally a restriction of :class:`StackDistanceProfiler` to known
-    capacities; kept because one dict operation per capacity is faster in
-    CPython than Fenwick bookkeeping on long streams.
+    capacities, built from plain dict operations; the collector's
+    ``method="lru"`` uses it as an independent check of the stack pass.
     """
 
     def __init__(self, capacities_lines: Sequence[int]) -> None:

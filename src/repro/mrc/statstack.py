@@ -17,38 +17,26 @@ capacity C is simply ``P(RD > r*(C))`` plus cold misses.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.exceptions import PredictionError
+from repro.mrc.stack_distance import BufferedStream, previous_occurrences
 
 
-class ReuseDistanceSampler:
-    """Collects forward reuse distances in one cheap pass."""
+class ReuseDistanceSampler(BufferedStream):
+    """Forward reuse distances of a buffered stream, from one cheap pass."""
 
-    def __init__(self) -> None:
-        self._last_pos: Dict[int, int] = {}
-        self._pos = 0
-        self.reuse_distances: List[int] = []
-        self.cold_misses = 0
-
-    def access(self, line: int) -> None:
-        self._pos += 1
-        last = self._last_pos.get(line)
-        if last is None:
-            self.cold_misses += 1
-        else:
-            self.reuse_distances.append(self._pos - last - 1)
-        self._last_pos[line] = self._pos
-
-    def consume(self, lines: Iterable[int]) -> None:
-        for line in lines:
-            self.access(line)
+    def _pass(self, lines: np.ndarray) -> np.ndarray:
+        """Reuse distances of the non-cold accesses, in access order."""
+        prev = previous_occurrences(lines)
+        reused = np.flatnonzero(prev >= 0)
+        return reused - prev[reused] - 1
 
     @property
-    def accesses(self) -> int:
-        return self._pos
+    def reuse_distances(self) -> List[int]:
+        return self._resolve().tolist()
 
 
 def expected_unique(reuse_distances: np.ndarray, max_window: int) -> np.ndarray:
@@ -77,7 +65,7 @@ def statstack_miss_ratios(
     """Estimated miss ratios (misses per access) at the given capacities."""
     if sampler.accesses == 0:
         raise PredictionError("no accesses sampled")
-    rds = np.asarray(sampler.reuse_distances, dtype=np.int64)
+    rds = sampler._resolve()
     if len(rds):
         max_window = int(min(max_window, max(int(rds.max()) + 1, 2)))
     else:

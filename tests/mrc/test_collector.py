@@ -10,6 +10,7 @@ from repro.mrc.collector import collect_miss_rate_curve, paper_capacity_points
 from repro.mrc.interleave import StreamStats, interleave_cta, iter_interleaved
 from repro.trace.kernel import CTATrace, KernelTrace, WarpTrace, WorkloadTrace
 from repro.units import MB
+from repro.workloads import build_trace, get_benchmark
 
 
 def cfg(scale=1.0):
@@ -131,3 +132,41 @@ class TestCollector:
         wl = sweep_workload(100, num_ctas=4, apw=8)
         with pytest.raises(PredictionError):
             collect_miss_rate_curve(wl, capacities_bytes=[0], config=cfg(1.0))
+
+
+class TestMethodsOnFixedTraces:
+    def test_stack_and_lru_bit_identical_on_table_ii_trace(self):
+        """The offline stack pass against the independent dict-based LRU
+        on a GPU-interleaved Table II stream."""
+        config = GPUConfig.paper_baseline()
+        trace = build_trace(
+            get_benchmark("va"), work_scale=0.25,
+            capacity_scale=config.capacity_scale, seed=0,
+        )
+        stack = collect_miss_rate_curve(trace, config=config, method="stack")
+        lru = collect_miss_rate_curve(trace, config=config, method="lru")
+        assert stack.metadata["llc_accesses"] > 10_000
+        assert len(set(stack.mpki)) > 1
+        assert stack.mpki == lru.mpki
+        assert stack.miss_ratio == lru.miss_ratio
+
+    def test_statstack_output_pinned(self):
+        """StatStack estimates on a fixed random trace, as produced by the
+        per-access sampler the buffered one replaced."""
+        def build(cta_id):
+            rng = np.random.default_rng(cta_id)
+            lines = rng.integers(0, 6000, 64).tolist()
+            return CTATrace(cta_id, [WarpTrace([1] * 64, lines)])
+
+        wl = WorkloadTrace("rand", [KernelTrace("k", 64, 32, build)])
+        curve = collect_miss_rate_curve(
+            wl, config=cfg(1 / 64), method="statstack"
+        )
+        assert curve.mpki == (
+            14.911651611328125, 14.247894287109375, 12.47406005859375,
+            11.486053466796875, 11.486053466796875,
+        )
+        assert curve.miss_ratio == (
+            0.9552785923753666, 0.9127565982404692, 0.7991202346041055,
+            0.7358260019550342, 0.7358260019550342,
+        )

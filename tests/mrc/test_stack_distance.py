@@ -1,15 +1,17 @@
 """Exact stack-distance profiler tests, verified against a brute-force
 reference implementation and a reference LRU simulation."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import PredictionError
 from repro.mrc.stack_distance import (
     COLD,
-    FenwickTree,
     MultiCapacityLRU,
     StackDistanceProfiler,
+    stack_distances,
 )
 
 
@@ -40,43 +42,19 @@ def reference_lru_misses(stream, capacity):
     return misses
 
 
-class TestFenwickTree:
-    def test_point_add_prefix_sum(self):
-        t = FenwickTree(8)
-        t.add(3, 5)
-        t.add(7, 2)
-        assert t.prefix_sum(2) == 0
-        assert t.prefix_sum(3) == 5
-        assert t.prefix_sum(8) == 7
-        assert t.range_sum(4, 7) == 2
-        assert t.range_sum(5, 4) == 0
-
-    def test_growth_preserves_content(self):
-        t = FenwickTree(4)
-        t.add(2, 3)
-        t.add(100, 7)  # forces growth
-        assert t.prefix_sum(2) == 3
-        assert t.prefix_sum(100) == 10
-
-    def test_invalid_index(self):
-        with pytest.raises(PredictionError):
-            FenwickTree().add(0, 1)
-        with pytest.raises(PredictionError):
-            FenwickTree().prefix_sum(-1)
-
-
 class TestStackDistances:
     def test_textbook_example(self):
+        distances = stack_distances([1, 2, 3, 2, 1, 1])
+        assert distances.tolist() == [COLD, COLD, COLD, 1, 2, 0]
         p = StackDistanceProfiler()
-        distances = [p.access(x) for x in [1, 2, 3, 2, 1, 1]]
-        assert distances == [COLD, COLD, COLD, 1, 2, 0]
+        p.consume([1, 2, 3, 2, 1, 1])
         assert p.cold_misses == 3
+        assert p.histogram() == {0: 1, 1: 1, 2: 1}
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=15), max_size=120))
     def test_matches_brute_force(self, stream):
-        p = StackDistanceProfiler()
-        got = [p.access(x) for x in stream]
+        got = stack_distances(stream).tolist()
         assert got == brute_force_stack_distance(stream)
 
     @settings(max_examples=30, deadline=None)
@@ -112,6 +90,65 @@ class TestStackDistances:
         p.access(1)
         with pytest.raises(PredictionError):
             p.misses_at(-1)
+
+
+class TestEdgeCases:
+    def test_empty_stream(self):
+        assert stack_distances([]).tolist() == []
+        p = StackDistanceProfiler()
+        assert p.histogram() == {}
+        assert p.cold_misses == 0
+        assert p.miss_curve([1, 8]) == [0, 0]
+
+    def test_single_line_repeated(self):
+        assert stack_distances([9] * 50).tolist() == [COLD] + [0] * 49
+        p = StackDistanceProfiler()
+        p.consume([9] * 50)
+        assert p.histogram() == {0: 49}
+        assert p.miss_curve([0, 1]) == [50, 1]
+
+    def test_all_distinct(self):
+        # A streaming (res50-like) pass: every access is cold.
+        lines = list(range(1000, 0, -3))
+        assert stack_distances(lines).tolist() == [COLD] * len(lines)
+        p = StackDistanceProfiler()
+        p.consume(lines)
+        assert p.histogram() == {}
+        assert p.misses_at(10**6) == len(lines) == p.distinct_lines
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_merge_level_boundaries(self, k):
+        """Streams and reuse-pair counts of 2^k - 1, 2^k and 2^k + 1."""
+        rng = random.Random(k)
+        for size in (2**k - 1, 2**k, 2**k + 1):
+            stream = [rng.randrange(4 + k) for __ in range(size)]
+            assert stack_distances(stream).tolist() == brute_force_stack_distance(stream)
+            # The merge runs over reuse pairs: end on exactly `size` of them.
+            stream = [rng.randrange(4 + k)]
+            while len(stream) - len(set(stream)) < size:
+                stream.append(rng.randrange(4 + k))
+            assert stack_distances(stream).tolist() == brute_force_stack_distance(stream)
+
+
+class TestLazyResolution:
+    def test_cold_misses_before_histogram(self):
+        p = StackDistanceProfiler()
+        p.consume([4, 5, 4, 6, 5])
+        assert p.cold_misses == 3
+        assert p.distinct_lines == 3
+        assert p.histogram() == {1: 1, 2: 1}
+
+    def test_accesses_after_a_read_resolve_again(self):
+        p = StackDistanceProfiler()
+        p.consume([1, 2, 1])
+        assert p.histogram() == {1: 1}
+        assert p.cold_misses == 2
+        p.consume([3, 2])
+        p.access(1)
+        assert p.accesses == 6
+        assert p.cold_misses == 3
+        assert p.histogram() == {1: 1, 2: 2}
+        assert p.misses_at(2) == 5
 
 
 class TestMultiCapacityLRU:

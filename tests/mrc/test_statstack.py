@@ -21,6 +21,15 @@ class TestReuseDistanceSampler:
         assert s.cold_misses == 2
         assert s.accesses == 4
 
+    def test_accesses_after_a_read_resolve_again(self):
+        s = ReuseDistanceSampler()
+        s.consume([1, 2, 1])
+        assert s.reuse_distances == [1]
+        s.access(2)
+        s.access(3)
+        assert s.reuse_distances == [1, 1]
+        assert s.cold_misses == 3
+
 
 class TestExpectedUnique:
     def test_no_reuse_means_every_ref_unique(self):

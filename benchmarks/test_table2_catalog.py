@@ -14,6 +14,7 @@ from repro.workloads import (
     build_trace,
     strong_scaling_names,
 )
+from repro.workloads.generators import _generate_trace
 
 #: (abbr, suite, footprint MB, scaling) straight from Table II.
 TABLE2 = [
@@ -73,7 +74,8 @@ class TestTable2:
         for abbr in strong_scaling_names():
             spec = STRONG_SCALING[abbr]
             t1 = build_trace(spec)
-            t2 = build_trace(spec)
+            # build_trace would hand back t1; generate a separate trace.
+            t2 = _generate_trace(spec, 1.0, 0.125, 0)
             cta1 = t1.kernels[0].build_cta(0)
             cta2 = t2.kernels[0].build_cta(0)
             assert cta1.warps[0].lines == cta2.warps[0].lines, abbr

@@ -25,7 +25,7 @@ from repro.gpu.cta import CTADispatcher
 from repro.gpu.memory import MemorySubsystem
 from repro.gpu.results import SimulationResult
 from repro.gpu.sm import StreamingMultiprocessor
-from repro.trace.kernel import WarpTrace, WorkloadTrace
+from repro.trace.kernel import WorkloadTrace
 from repro.validate import validate_config, validate_trace
 from repro.verify.runtime import ensure_paranoia
 
@@ -47,14 +47,22 @@ class _WarpRun:
         "started",
     )
 
-    def __init__(self, sm_id: int, cta_key: int, trace: WarpTrace) -> None:
+    def __init__(
+        self,
+        sm_id: int,
+        cta_key: int,
+        compute: List[int],
+        lines: List[int],
+        tail: int,
+        offset: float,
+    ) -> None:
         self.sm_id = sm_id
         self.cta_key = cta_key
-        self.compute = trace.compute
-        self.lines = trace.lines
+        self.compute = compute
+        self.lines = lines
         self.idx = 0
-        self.tail = trace.tail_compute
-        self.offset = trace.start_offset
+        self.tail = tail
+        self.offset = offset
         self.started = False
 
 
@@ -198,14 +206,14 @@ class GPUSimulator:
         self, cta_id: int, sm_id: int, now: float, stagger: bool = False
     ) -> None:
         kernel = self._workload.kernels[self._kernel_index]
-        cta = kernel.build_cta(cta_id)
+        warps = kernel.warps(cta_id)
         sm = self.sms[sm_id]
         sm.cta_started(now)
         key = self._cta_seq
         self._cta_seq += 1
-        self._live_ctas[key] = len(cta.warps)
-        for warp_trace in cta.warps:
-            run = _WarpRun(sm_id, key, warp_trace)
+        self._live_ctas[key] = len(warps)
+        for compute, lines, tail, offset in warps:
+            run = _WarpRun(sm_id, key, compute, lines, tail, offset)
             # Launch stagger applies to the initial wave only: backfilled
             # CTAs start at their predecessor's (already spread) completion
             # time, so re-staggering them would just waste issue slots.

@@ -19,7 +19,7 @@ the default (16 virtual SMs) sits between the paper's scale models.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,7 +61,7 @@ def iter_interleaved(
     workload: WorkloadTrace,
     num_virtual_sms: int = 16,
     ctas_per_sm: int = 6,
-    stats: "StreamStats" = None,
+    stats: Optional[StreamStats] = None,
 ) -> Iterator[Tuple[int, np.ndarray]]:
     """Yield ``(virtual_sm, lines_chunk)`` in interleaved global order.
 
@@ -78,15 +78,14 @@ def iter_interleaved(
         for start in range(0, kernel.num_ctas, window_size):
             window = []
             for cta_id in range(start, min(start + window_size, kernel.num_ctas)):
-                cta = kernel.build_cta(cta_id)
+                # Stored CTAs are read; the rest are generated and not
+                # stored, so an MRC pass keeps no extra memory.
+                warp_lines, instructions = kernel.line_arrays(cta_id)
                 if stats is not None:
-                    stats.warp_instructions += cta.warp_instructions
-                    stats.accesses += cta.num_accesses
+                    stats.warp_instructions += instructions
+                    stats.accesses += sum(len(lines) for lines in warp_lines)
                     stats.ctas += 1
-                lines = interleave_cta([
-                    np.asarray(w.lines, dtype=np.int64) for w in cta.warps
-                ])
-                window.append((cta_id % num_virtual_sms, lines))
+                window.append((cta_id % num_virtual_sms, interleave_cta(warp_lines)))
             offset = 0
             remaining = True
             while remaining:

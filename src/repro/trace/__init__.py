@@ -2,14 +2,16 @@
 
 A workload is a sequence of kernels; a kernel is a grid of CTAs; a CTA is
 a handful of warps; a warp trace is an alternating sequence of compute
-bursts and memory accesses at cache-line granularity.  Traces are built
+bursts and memory accesses at cache-line granularity.  CTAs are built
 lazily and deterministically — ``build_cta(cta_id)`` always returns the
-same trace for the same spec and seed — so the timing simulator and the
-miss-rate-curve collector replay identical streams without storing the
-whole workload in memory.
+same trace for the same spec and seed.  Once a trace is handed out a
+second time, the timing simulator stores each CTA it generates in its
+kernel's columnar :class:`CTAStore`, so later runs and the
+miss-rate-curve collector replay it without generating it again; the
+collector itself stores nothing.
 """
 
-from repro.trace.kernel import CTATrace, KernelTrace, WarpTrace, WorkloadTrace
+from repro.trace.kernel import CTAStore, CTATrace, KernelTrace, WarpTrace, WorkloadTrace
 from repro.trace.sampling import SievePlan, sieve_sample
 from repro.trace import patterns
 from repro.trace.io import trace_digest
@@ -17,6 +19,7 @@ from repro.trace.io import trace_digest
 __all__ = [
     "WarpTrace",
     "CTATrace",
+    "CTAStore",
     "KernelTrace",
     "WorkloadTrace",
     "SievePlan",

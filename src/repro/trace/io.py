@@ -3,66 +3,69 @@
 The paper's artifact distributes pre-collected traces and results so the
 prediction step can run without re-simulation; this module provides the
 same capability for this repository's traces.  A saved trace is a single
-compressed ``.npz`` holding flattened per-warp arrays plus an index, and
-loads back into a :class:`~repro.trace.kernel.WorkloadTrace` whose
-``build_cta`` slices the arrays (no re-generation, identical replay).
+compressed ``.npz`` holding every kernel's :class:`~repro.trace.kernel.CTAStore`
+columns back to back (per-warp lengths and per-CTA warp counts in place
+of the store's end offsets), and loads back into a
+:class:`~repro.trace.kernel.WorkloadTrace` whose kernels come with full
+stores (no re-generation, identical replay).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import List
 
 import numpy as np
 
 from repro.exceptions import TraceError
-from repro.trace.kernel import CTATrace, KernelTrace, WarpTrace, WorkloadTrace
+from repro.trace.kernel import CTAStore, KernelTrace, WorkloadTrace
 
 FORMAT_VERSION = 1
 
 
+def _column(store: CTAStore, name: str) -> np.ndarray:
+    column = getattr(store, name)
+    return np.frombuffer(column, dtype=column.typecode)
+
+
 def save_trace(workload: WorkloadTrace, path: str) -> None:
-    """Materialize every CTA of ``workload`` and write it to ``path``."""
-    lines: List[np.ndarray] = []
-    compute: List[np.ndarray] = []
-    warp_lengths: List[int] = []
-    warp_tails: List[int] = []
-    warp_offsets: List[float] = []
-    cta_warp_counts: List[int] = []
-    kernel_meta = []
-    for kernel in workload.kernels:
-        kernel_meta.append(
-            {
-                "name": kernel.name,
-                "num_ctas": kernel.num_ctas,
-                "threads_per_cta": kernel.threads_per_cta,
-            }
-        )
-        for cta in kernel.iter_ctas():
-            cta_warp_counts.append(cta.num_warps)
-            for warp in cta.warps:
-                lines.append(np.asarray(warp.lines, dtype=np.int64))
-                compute.append(np.asarray(warp.compute, dtype=np.int64))
-                warp_lengths.append(warp.num_accesses)
-                warp_tails.append(warp.tail_compute)
-                warp_offsets.append(warp.start_offset)
+    """Write every CTA of ``workload`` to ``path`` as store columns.
+
+    A kernel whose store is full is written from it; any other kernel is
+    stored into a new store for the write, its own store left as it was.
+    """
+    stores = [kernel.full_store() for kernel in workload.kernels]
+
+    def joined(name: str) -> np.ndarray:
+        return np.concatenate([_column(store, name) for store in stores])
+
     header = {
         "version": FORMAT_VERSION,
         "name": workload.name,
         "footprint_bytes": workload.footprint_bytes,
         "metadata": _jsonable(workload.metadata),
-        "kernels": kernel_meta,
+        "kernels": [
+            {
+                "name": kernel.name,
+                "num_ctas": kernel.num_ctas,
+                "threads_per_cta": kernel.threads_per_cta,
+            }
+            for kernel in workload.kernels
+        ],
     }
     np.savez_compressed(
         path,
         header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-        lines=np.concatenate(lines) if lines else np.empty(0, dtype=np.int64),
-        compute=np.concatenate(compute) if compute else np.empty(0, dtype=np.int64),
-        warp_lengths=np.asarray(warp_lengths, dtype=np.int64),
-        warp_tails=np.asarray(warp_tails, dtype=np.int64),
-        warp_offsets=np.asarray(warp_offsets, dtype=np.float64),
-        cta_warp_counts=np.asarray(cta_warp_counts, dtype=np.int64),
+        lines=joined("lines"),
+        compute=joined("compute"),
+        warp_lengths=np.concatenate(
+            [np.diff(_column(s, "warp_ends"), prepend=0) for s in stores]
+        ),
+        warp_tails=joined("warp_tails"),
+        warp_offsets=joined("warp_offsets"),
+        cta_warp_counts=np.concatenate(
+            [np.diff(_column(s, "cta_warp_ends"), prepend=0) for s in stores]
+        ),
     )
 
 
@@ -82,40 +85,41 @@ def load_trace(path: str) -> WorkloadTrace:
         warp_offsets = data["warp_offsets"]
         cta_warp_counts = data["cta_warp_counts"]
 
-    warp_ends = np.cumsum(warp_lengths)
-    warp_starts = warp_ends - warp_lengths
-    cta_warp_ends = np.cumsum(cta_warp_counts)
-    cta_warp_starts = cta_warp_ends - cta_warp_counts
+    # Offset of each warp's first access and of each CTA's first warp,
+    # with one past-the-end entry.
+    line_at = np.concatenate(([0], np.cumsum(warp_lengths)))
+    warp_at = np.concatenate(([0], np.cumsum(cta_warp_counts)))
+    num_ctas = [int(meta["num_ctas"]) for meta in header["kernels"]]
+    if sum(num_ctas) != len(cta_warp_counts):
+        raise TraceError(
+            f"{path}: header lists {sum(num_ctas)} CTAs, arrays hold "
+            f"{len(cta_warp_counts)}"
+        )
 
     kernels = []
-    cta_base = 0
-    for meta in header["kernels"]:
-        num_ctas = int(meta["num_ctas"])
-
-        def build_cta(cta_id: int, base=cta_base) -> CTATrace:
-            index = base + cta_id
-            warps = []
-            for w in range(int(cta_warp_starts[index]), int(cta_warp_ends[index])):
-                lo, hi = int(warp_starts[w]), int(warp_ends[w])
-                warps.append(
-                    WarpTrace(
-                        compute[lo:hi].tolist(),
-                        lines[lo:hi].tolist(),
-                        tail_compute=int(warp_tails[w]),
-                        start_offset=float(warp_offsets[w]),
-                    )
-                )
-            return CTATrace(cta_id, warps)
-
+    c0 = 0
+    for meta, count in zip(header["kernels"], num_ctas):
+        c1 = c0 + count
+        w0, w1 = int(warp_at[c0]), int(warp_at[c1])
+        a0, a1 = int(line_at[w0]), int(line_at[w1])
+        store = CTAStore.from_arrays(
+            lines[a0:a1],
+            compute[a0:a1],
+            line_at[w0 + 1 : w1 + 1] - a0,
+            warp_tails[w0:w1],
+            warp_offsets[w0:w1],
+            warp_at[c0 + 1 : c1 + 1] - w0,
+        )
         kernels.append(
             KernelTrace(
                 name=meta["name"],
-                num_ctas=num_ctas,
+                num_ctas=count,
                 threads_per_cta=int(meta["threads_per_cta"]),
-                build_cta=build_cta,
+                build_cta=store.cta,
+                store=store,
             )
         )
-        cta_base += num_ctas
+        c0 = c1
 
     metadata = dict(header.get("metadata", {}))
     warm = metadata.get("warm_region")
@@ -144,9 +148,9 @@ def _jsonable(metadata: dict) -> dict:
 def trace_digest(workload: WorkloadTrace) -> str:
     """``sha256:<hex>`` over the full materialized trace content.
 
-    Walks every CTA of every kernel (build on demand, nothing retained)
-    and hashes the exact per-warp line/compute streams plus tails and
-    launch offsets.  Two traces digest equally iff a simulator would
+    Walks every CTA of every kernel (stored CTAs from the store, the
+    rest generated and not retained) and hashes the exact per-warp
+    line/compute streams plus tails and launch offsets.  Two traces digest equally iff a simulator would
     replay identical streams — the determinism contract of
     :func:`repro.workloads.generators.build_trace` made checkable
     across processes and hosts.

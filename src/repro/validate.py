@@ -201,28 +201,32 @@ def _is_count(value) -> bool:
 def validate_trace(workload: WorkloadTrace) -> WorkloadTrace:
     """Structural health checks on a workload trace, sampled per kernel.
 
-    CTAs are built lazily and must be deterministic in ``cta_id``, so
-    checking the first CTA of every kernel validates each generator at
-    O(kernels) cost.  Catches what the dataclasses cannot: NaN launch
-    offsets (NaN compares false against every bound), negative compute
-    bursts and negative line addresses.
+    CTAs are deterministic in ``cta_id``, so checking the first CTA of
+    every kernel validates each generator at O(kernels) cost.  It reads
+    that CTA as the simulator does (:meth:`KernelTrace.warps`), so a
+    stored CTA is not generated again.  Catches what the dataclasses
+    cannot: NaN launch offsets (NaN compares false against every bound),
+    negative or fractional compute bursts and line addresses.
     """
     for kernel in workload.kernels:
-        cta = kernel.build_cta(0)
-        for warp_id, warp in enumerate(cta.warps):
-            if not math.isfinite(warp.start_offset):
+        try:
+            warps = kernel.warps(0)
+        except TraceError as error:
+            raise TraceError(f"{workload.name}/{error}") from None
+        for warp_id, (compute, lines, __, offset) in enumerate(warps):
+            if not math.isfinite(offset):
                 raise TraceError(
                     f"{workload.name}/{kernel.name}: warp {warp_id} has "
-                    f"non-finite start_offset {warp.start_offset}"
+                    f"non-finite start_offset {offset}"
                 )
-            for burst in warp.compute:
+            for burst in compute:
                 if not _is_count(burst):
                     raise TraceError(
                         f"{workload.name}/{kernel.name}: warp {warp_id} "
                         f"has invalid compute burst {burst!r} (need a "
                         "non-negative integer instruction count)"
                     )
-            for line in warp.lines:
+            for line in lines:
                 if not _is_count(line):
                     raise TraceError(
                         f"{workload.name}/{kernel.name}: warp {warp_id} "

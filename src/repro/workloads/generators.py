@@ -44,7 +44,7 @@ what makes bfs and bs sub-linear under weak scaling.
 from __future__ import annotations
 
 import math
-from typing import Callable, List
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -394,18 +394,50 @@ _FAMILIES = {
 }
 
 
+#: The most recent :func:`build_trace` arguments and result.  The
+#: scale-model simulations of a workload, its target run and its MRC ask
+#: for the same trace in turn; returning it again lets them share the
+#: CTAs its kernels have stored.  One entry, so at most one trace stays
+#: resident.
+_last_trace: Optional[Tuple[tuple, WorkloadTrace]] = None
+
+
 def build_trace(
     spec: BenchmarkSpec,
     work_scale: float = 1.0,
     capacity_scale: float = 0.125,
     seed: int = 0,
 ) -> WorkloadTrace:
-    """Build the workload trace for ``spec``.
+    """The workload trace for ``spec``.
 
     ``work_scale`` implements weak scaling (1.0 is the 8-SM-sized input;
     Table IV doubles it per doubling of system size); ``capacity_scale``
     must match the simulated GPU's miniaturization factor.
+
+    A call whose arguments compare equal to the previous call's returns
+    the same trace object, with whatever CTAs its kernels have stored,
+    and from then on the timing simulator stores the CTAs it generates
+    (:attr:`KernelTrace.storing`): a trace asked for twice is likely to
+    be replayed again.  Any other call builds a new trace, which stores
+    nothing yet, and drops the previous one.
     """
+    global _last_trace
+    key = (spec, work_scale, capacity_scale, seed)
+    if _last_trace is not None and _last_trace[0] == key:
+        trace = _last_trace[1]
+        for kernel in trace.kernels:
+            kernel.storing = True
+        return trace
+    _last_trace = None
+    trace = _generate_trace(spec, work_scale, capacity_scale, seed)
+    _last_trace = (key, trace)
+    return trace
+
+
+def _generate_trace(
+    spec: BenchmarkSpec, work_scale: float, capacity_scale: float, seed: int
+) -> WorkloadTrace:
+    """A new trace for ``spec`` with empty CTA stores."""
     if spec.family not in _FAMILIES:
         raise WorkloadError(
             f"{spec.abbr}: unknown generator family {spec.family!r}"

@@ -10,6 +10,12 @@ import pytest
 from repro.gpu import GPUConfig, McmConfig, simulate, simulate_mcm
 from repro.mrc import collect_miss_rate_curve
 from repro.workloads import STRONG_SCALING, WEAK_SCALING, build_trace
+from repro.workloads.generators import _generate_trace
+
+
+def fresh_trace(spec, work_scale=1.0, capacity_scale=0.125, seed=0):
+    """A newly generated trace (``build_trace`` may hand back its last one)."""
+    return _generate_trace(spec, work_scale, capacity_scale, seed)
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +27,7 @@ class TestTimingDeterminism:
     def test_same_seed_same_cycles(self, small_spec):
         cfg = GPUConfig.paper_system(8)
         runs = [
-            simulate(cfg, build_trace(small_spec, capacity_scale=cfg.capacity_scale))
+            simulate(cfg, fresh_trace(small_spec, capacity_scale=cfg.capacity_scale))
             for __ in range(2)
         ]
         assert runs[0].cycles == runs[1].cycles
@@ -40,7 +46,7 @@ class TestTimingDeterminism:
     def test_mcm_deterministic(self, small_spec):
         cfg = McmConfig.paper_target().scaled(4)
         runs = [
-            simulate_mcm(cfg, build_trace(
+            simulate_mcm(cfg, fresh_trace(
                 small_spec, work_scale=4.0,
                 capacity_scale=cfg.chiplet.capacity_scale))
             for __ in range(2)
@@ -52,7 +58,7 @@ class TestTimingDeterminism:
 class TestMrcDeterminism:
     def test_curves_identical(self, small_spec):
         curves = [
-            collect_miss_rate_curve(build_trace(small_spec)) for __ in range(2)
+            collect_miss_rate_curve(fresh_trace(small_spec)) for __ in range(2)
         ]
         assert curves[0].mpki == curves[1].mpki
         assert curves[0].miss_ratio == curves[1].miss_ratio

@@ -6,7 +6,7 @@ import pytest
 from repro.exceptions import WorkloadError
 from repro.memory_regions import BYPASS_BASE
 from repro.workloads import STRONG_SCALING, WEAK_SCALING, build_trace
-from repro.workloads.generators import MAX_CTAS, lines_for_mb
+from repro.workloads.generators import MAX_CTAS, _generate_trace, lines_for_mb
 from repro.workloads.spec import BenchmarkSpec, KernelShape, ScalingBehavior
 
 
@@ -41,7 +41,8 @@ class TestBuildTrace:
     def test_deterministic_across_builds(self):
         spec = spec_for("irregular", {"apw": 8, "sigma": 0.5})
         a = build_trace(spec, seed=3).kernels[0].build_cta(5)
-        b = build_trace(spec, seed=3).kernels[0].build_cta(5)
+        # build_trace would hand back the same trace; generate a new one.
+        b = _generate_trace(spec, 1.0, 0.125, 3).kernels[0].build_cta(5)
         assert a.warps[0].lines == b.warps[0].lines
         assert a.warps[0].start_offset == b.warps[0].start_offset
 
